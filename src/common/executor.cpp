@@ -31,6 +31,11 @@ struct Executor::Batch {
   const ChunkFn* fn = nullptr;
   /// Set on first failure; later chunks of the batch are skipped.
   std::atomic<bool> failed{false};
+  /// Chunks of this batch taken by try_steal. Scheduling-dependent, so it
+  /// is reported as one executor.batch_steals histogram sample per pooled
+  /// batch (whose count is reproducible), never as a counter. Async
+  /// (submit) batches count it too but do not report it.
+  std::atomic<std::size_t> steals{0};
   /// Worker indices [stripe_base, stripe_base + stripe_size) mod pool
   /// size may execute this batch; the submitter always may. Tasks are
   /// only ever pushed to stripe members' deques.
@@ -175,7 +180,7 @@ bool Executor::try_steal(std::size_t index, Task& out) {
       if (!it->batch->allows(index, n)) continue;
       out = *it;
       victim.tasks.erase(it);
-      metric_count("executor.steals");
+      out.batch->steals.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
   }
@@ -338,6 +343,10 @@ void Executor::run_chunked(std::size_t begin, std::size_t end,
     while (batch.pending != 0) batch.done.wait(lk);
     break;
   }
+  // pending reached 0 under batch.m after every steal, so the count is
+  // final here.
+  metric_observe("executor.batch_steals",
+                 double(batch.steals.load(std::memory_order_relaxed)));
   std::exception_ptr error;
   {
     MutexLock lk(batch.m);

@@ -25,7 +25,10 @@
 // Wall-clock timings are observability, not simulation state: they are
 // excluded from the determinism contract (everything else in a snapshot —
 // counters, gauges, histogram counts — is reproducible for a fixed
-// scenario; see tests/metrics_test.cpp).
+// scenario; see tests/metrics_test.cpp). Scheduling-dependent values are
+// likewise never counters: the executor's work-stealing activity is one
+// executor.batch_steals histogram sample per pooled batch, whose count is
+// reproducible but whose values, like the *_ms ones, are environmental.
 #pragma once
 
 #include <atomic>

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/executor.h"
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "core/predictor.h"
 #include "report/export.h"
@@ -176,6 +177,33 @@ TEST(Executor, ManyTinyBatches) {
     total += sum.load();
   }
   EXPECT_EQ(total, 200u * 64u);
+}
+
+TEST(Executor, StealsAreOneHistogramSamplePerPooledBatch) {
+  // How many chunks get stolen depends on scheduling, so steals must stay
+  // out of the counters (the reproducible part of a snapshot). They are
+  // reported as one executor.batch_steals sample per pooled batch: the
+  // sample count is deterministic, the values are environmental.
+  MetricsRegistry::global().reset();
+  set_metrics_enabled(true);
+  Executor pool(3);
+  constexpr std::size_t kBatches = 5;
+  constexpr std::size_t kN = 5000;
+  const std::size_t chunks = Executor::plan_chunks(kN, 0).chunks;
+  ASSERT_GT(chunks, 1u);  // a single-chunk batch takes the serial path
+  for (std::size_t b = 0; b < kBatches; ++b) {
+    pool.parallel_for(0, kN, 4, [](std::size_t) {});
+  }
+  const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
+  set_metrics_enabled(false);
+  MetricsRegistry::global().reset();
+
+  EXPECT_EQ(snap.counters.count("executor.steals"), 0u);
+  const auto it = snap.histograms.find("executor.batch_steals");
+  ASSERT_NE(it, snap.histograms.end());
+  EXPECT_EQ(it->second.count, kBatches);
+  EXPECT_LE(it->second.max, double(chunks));
+  EXPECT_EQ(snap.counters.at("executor.batches"), kBatches);
 }
 
 // ------------------------------------------------------- nested submission

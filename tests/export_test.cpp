@@ -19,8 +19,13 @@
 namespace acdn {
 namespace {
 
+/// Per-test file name: ctest runs every test in its own process, so under
+/// `ctest -j` tests sharing a fixed name (the golden figure CSVs) would
+/// overwrite and delete each other's files.
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + name;
+  return ::testing::TempDir() +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
 }
 
 TEST(Export, PassiveLogRoundTrip) {

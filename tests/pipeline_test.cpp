@@ -7,8 +7,9 @@
 // measurement field, exact double equality on the figure-5 folds, the
 // full trainer snapshot, per-point fault trigger counts, and the
 // deterministic metrics counters (sim.*, join.*, fault.*, pipeline.* —
-// executor.* scheduling counters are legitimately run-dependent and
-// excluded).
+// executor.* counts how a configuration runs its passes — batches,
+// tasks, async submissions — not what it computes, so it is left out;
+// steals are histogram samples, not counters).
 //
 // Suites: Pipeline* runs on the CI TSan leg (the overlap is real
 // concurrency); PipelineChaos* also matches the chaos leg's `-R Chaos`.
@@ -89,8 +90,9 @@ PredictorConfig predictor_config() {
 
 Fig5Config fig5_config() { return Fig5Config{}; }
 
-/// Counters whose totals the determinism contract covers. executor.*
-/// (steal/async scheduling) and wall-clock phases are run-dependent.
+/// Counters compared across window sizes and thread counts. executor.*
+/// counts how each configuration runs its passes (async submissions
+/// follow the window), and wall-clock phases are run-dependent.
 std::map<std::string, std::uint64_t> deterministic_counters(
     const MetricsSnapshot& snapshot, bool include_pipeline) {
   std::map<std::string, std::uint64_t> out;
