@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.h"
@@ -104,10 +105,16 @@ TEST(P2Quantile, ValueWithoutSamplesThrows) {
 // Property sweep: the P2 estimate must track the exact quantile within a
 // few percent of the distribution's scale for several (q, distribution)
 // combinations.
+// CTest registers each case under a name built from GoogleTest's byte dump
+// of the parameter, so P2Case must hold no padding: an `int` after the double
+// left four indeterminate bytes in the dump and the names changed from build
+// to build.
 struct P2Case {
   double q;
-  int distribution;  // 0 uniform, 1 lognormal, 2 exponential
+  std::int64_t distribution;  // 0 uniform, 1 lognormal, 2 exponential
 };
+static_assert(sizeof(P2Case) == sizeof(double) + sizeof(std::int64_t),
+              "P2Case test names must not depend on padding bytes");
 
 class P2Accuracy : public ::testing::TestWithParam<P2Case> {};
 
