@@ -12,7 +12,6 @@
 #include "cdn/router.h"
 #include "common/arena.h"
 #include "common/executor.h"
-#include "common/flat_group.h"
 #include "common/metrics.h"
 #include "common/radix.h"
 #include "common/rng.h"
@@ -264,58 +263,28 @@ void BM_DayLoopPool(benchmark::State& state) {
 }
 BENCHMARK(BM_DayLoopPool)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-// -------------------------------------------------- cost-model calibration
+// ------------------------------------------------------------ radix sort
 //
-// The floors in common/cost_model.h came from these curves. Below
-// kRadixParallelMinKeys (1<<20) the parallel radix path's extra histogram
-// passes and merge levels cost more than they save, so plan_parallelism
-// keeps both thread counts on the serial LSD path and the 1t/4t numbers
-// coincide; above the floor they may diverge (and on a multi-core box the
-// 4t curve should win). The join's kJoinMinRowsPerShard (1<<16) floor is
-// the same economics one layer up: a shard pays a boundary search plus a
-// staging copy, so a day below ~2 shards' worth of log rows goes through
-// the single-shard presorted fast path regardless of the thread request —
-// bench_pipeline_hot's thread_sweep is the end-to-end check that this
-// keeps N-thread joins from ever losing to 1-thread.
+// Serial stable LSD radix throughput over random full-width keys, from
+// about one day's aggregation keys up to well past any shipped size.
 
-void BM_RadixSortCrossover(benchmark::State& state) {
+void BM_RadixSort(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   Rng rng(13);
   std::vector<std::uint64_t> keys(n);
   for (std::uint64_t& k : keys) k = rng.next_u64();
   std::vector<std::uint64_t> work(n);
   ScratchArena scratch;
   for (auto _ : state) {
-    work = keys;  // identical copy cost on every (size, threads) point
-    radix_sort(std::span<std::uint64_t>(work), threads, &scratch);
+    work = keys;  // identical copy cost at every size
+    radix_sort(std::span<std::uint64_t>(work), &scratch);
     benchmark::DoNotOptimize(work.data());
   }
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations()) *
       static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_RadixSortCrossover)
-    ->ArgsProduct({{256 << 10, 1 << 20, 2 << 20, 4 << 20}, {1, 4}});
-
-void BM_ParallelSortCrossover(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
-  Rng rng(17);
-  std::vector<std::uint64_t> keys(n);
-  for (std::uint64_t& k : keys) k = rng.next_u64();
-  std::vector<std::uint64_t> work(n);
-  for (auto _ : state) {
-    work = keys;
-    parallel_sort(std::span<std::uint64_t>(work), threads);
-    benchmark::DoNotOptimize(work.data());
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ParallelSortCrossover)
-    ->ArgsProduct({{256 << 10, 1 << 20, 2 << 20, 4 << 20}, {1, 4}});
+BENCHMARK(BM_RadixSort)->Arg(256 << 10)->Arg(1 << 20)->Arg(4 << 20);
 
 void BM_WorldConstruction(benchmark::State& state) {
   for (auto _ : state) {

@@ -72,7 +72,7 @@ std::size_t DayAggregates::sample_count(const Group& g,
 }
 
 DayAggregates DayAggregates::build(const MeasurementColumns& columns,
-                                   Grouping grouping, int threads,
+                                   Grouping grouping, int /*threads*/,
                                    ScratchArena* scratch) {
   DayAggregates out;
   out.grouping_ = grouping;
@@ -114,7 +114,7 @@ DayAggregates DayAggregates::build(const MeasurementColumns& columns,
   seq.resize(n);
   std::iota(seq.begin(), seq.end(), 0u);
   radix_sort_pairs(std::span<std::uint64_t>(keys),
-                   std::span<std::uint32_t>(seq), threads, &arena);
+                   std::span<std::uint32_t>(seq), &arena);
 
   out.samples_.resize(n);
   std::vector<std::uint32_t>& starts = arena.buffer<std::uint32_t>("agg.runs");
@@ -138,8 +138,7 @@ DayAggregates DayAggregates::build(const MeasurementColumns& columns,
 }
 
 DayAggregates DayAggregates::build(
-    std::span<const BeaconMeasurement> measurements, Grouping grouping,
-    int threads) {
+    std::span<const BeaconMeasurement> measurements, Grouping grouping) {
   MeasurementColumns columns;
   std::size_t targets = 0;
   for (const BeaconMeasurement& m : measurements) {
@@ -147,7 +146,7 @@ DayAggregates DayAggregates::build(
   }
   columns.reserve(measurements.size(), targets);
   for (const BeaconMeasurement& m : measurements) columns.push_back(m);
-  return build(columns, grouping, threads);
+  return build(columns, grouping);
 }
 
 }  // namespace acdn

@@ -6,14 +6,14 @@
 // classic DNS redirection must key on) — and, within a group, by target:
 // the anycast address or a specific unicast front-end.
 //
-// The aggregation is columnar: every (group, target, sample) triple is
-// appended to a flat entry table, sorted by a total-order key on the
-// executor pool (common/flat_group.h), and the sorted runs become three
-// parallel arrays — groups, targets, samples — instead of a std::map of
-// std::maps of vectors. Iteration order (groups ascending; within a
-// group, unicast front-ends ascending then anycast; within a target,
-// measurement scan order) is exactly the order the old nested maps
-// produced, so every downstream digest is unchanged.
+// The aggregation is columnar: every (group, target, sample) triple gets
+// a packed uint64 key, the keys sort with a stable radix sort
+// (common/radix.h), and the sorted runs become three parallel arrays —
+// groups, targets, samples — instead of a std::map of std::maps of
+// vectors. Iteration order (groups ascending; within a group, unicast
+// front-ends ascending then anycast; within a target, measurement scan
+// order) is exactly the order the old nested maps produced, so every
+// downstream digest is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -63,17 +63,17 @@ class DayAggregates {
     std::uint32_t target_count = 0;
   };
 
-  /// Buckets one day's columns by group and target. The flat entry table
-  /// sorts with a deterministic parallel sort whose tie-breaker is the
-  /// scan position, so the result is identical for any thread count.
-  /// `scratch` (optional) recycles the entry table across days.
+  /// Buckets one day's columns by group and target. The packed keys sort
+  /// with a stable radix sort, so equal keys keep scan order. `threads`
+  /// has no effect; it stays for source compatibility. `scratch`
+  /// (optional) recycles the key and payload columns across days.
   static DayAggregates build(const MeasurementColumns& columns,
                              Grouping grouping, int threads = 1,
                              ScratchArena* scratch = nullptr);
   /// Row-struct convenience overload: converts and delegates (one
   /// algorithm, one iteration order).
   static DayAggregates build(std::span<const BeaconMeasurement> measurements,
-                             Grouping grouping, int threads = 1);
+                             Grouping grouping);
 
   [[nodiscard]] Grouping grouping() const { return grouping_; }
 

@@ -45,7 +45,7 @@ struct PassiveView {
   std::vector<Run> clients;
 };
 
-PassiveView passive_by_client(const PassiveLog& log, int days, int threads) {
+PassiveView passive_by_client(const PassiveLog& log, int days) {
   std::vector<PassiveRow> rows;
   {
     std::size_t total = 0;
@@ -73,12 +73,12 @@ PassiveView passive_by_client(const PassiveLog& log, int days, int threads) {
               rows[i].fe.value;
   }
   radix_sort_pairs(std::span<std::uint64_t>(keys),
-                   std::span<std::uint32_t>(idx), threads);
+                   std::span<std::uint32_t>(idx));
   for (std::size_t i = 0; i < n; ++i) {
     keys[i] = rows[idx[i]].client.value;
   }
   radix_sort_pairs(std::span<std::uint64_t>(keys),
-                   std::span<std::uint32_t>(idx), threads);
+                   std::span<std::uint32_t>(idx));
 
   PassiveView view;
   const auto same_cell = [&](const PassiveRow& a, const PassiveRow& b) {
@@ -297,8 +297,7 @@ FlatMap<std::uint32_t, Milliseconds> daily_improvement(
     const MeasurementColumns& measurements, const Fig5Config& config,
     int threads, ScratchArena* scratch) {
   return daily_improvement(
-      DayAggregates::build(measurements, Grouping::kEcsPrefix, threads,
-                           scratch),
+      DayAggregates::build(measurements, Grouping::kEcsPrefix, 1, scratch),
       config, threads);
 }
 
@@ -363,7 +362,7 @@ Fig6Duration fig6_poor_duration(const MeasurementStore& store,
       }
     }
   }
-  radix_sort(std::span<std::uint64_t>(poor), threads);
+  radix_sort(std::span<std::uint64_t>(poor));
 
   Fig6Duration out;
   const auto day_of = [](std::uint64_t key) {
@@ -388,7 +387,7 @@ Fig6Duration fig6_poor_duration(const MeasurementStore& store,
 
 std::vector<double> fig7_cumulative_switched(const PassiveLog& log,
                                              int days, int threads) {
-  const PassiveView per_client = passive_by_client(log, days, threads);
+  const PassiveView per_client = passive_by_client(log, days);
   if (per_client.clients.empty()) {
     return std::vector<double>(static_cast<std::size_t>(std::max(0, days)),
                                0.0);
@@ -434,7 +433,7 @@ DistributionBuilder fig8_switch_distance(const PassiveLog& log, int days,
                                          const Deployment& deployment,
                                          const MetroDatabase& metros,
                                          int threads) {
-  const PassiveView per_client = passive_by_client(log, days, threads);
+  const PassiveView per_client = passive_by_client(log, days);
 
   return Executor::global().parallel_reduce(
       0, per_client.clients.size(), threads, kReduceGrain,

@@ -55,17 +55,6 @@ void MeasurementColumns::push_back(const BeaconMeasurement& m) {
   }
 }
 
-void MeasurementColumns::append_from(const MeasurementColumns& other,
-                                     std::size_t i) {
-  append_row(other.beacon_id[i], other.client[i], other.ldns[i],
-             other.day[i], other.hour[i]);
-  for (std::size_t t = other.row_targets_begin(i);
-       t < other.row_targets_end(i); ++t) {
-    append_target(other.target_anycast[t] != 0,
-                  FrontEndId{other.target_front_end[t]}, other.target_rtt[t]);
-  }
-}
-
 void MeasurementColumns::append_all(const MeasurementColumns& other) {
   if (other.empty()) return;
   beacon_id.insert(beacon_id.end(), other.beacon_id.begin(),

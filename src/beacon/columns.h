@@ -58,10 +58,7 @@ struct MeasurementColumns {
 
   /// Appends a fully-formed row struct.
   void push_back(const BeaconMeasurement& m);
-  /// Appends row i of `other`.
-  void append_from(const MeasurementColumns& other, std::size_t i);
-  /// Appends every row of `other` in order — one bulk column concat,
-  /// equivalent to append_from(other, 0..other.size()).
+  /// Appends every row of `other` in order — one bulk column concat.
   void append_all(const MeasurementColumns& other);
 
   /// Materializes row i as the row struct.

@@ -16,21 +16,16 @@ namespace acdn {
 class MeasurementStore {
  public:
   /// Joins the two server-side logs on url_id with a sort-merge join.
-  /// Both logs sort once globally — DNS by (url_id, log position), HTTP
-  /// by (beacon id, log position); day-loop logs arrive presorted and
-  /// skip the sort — then split into *contiguous* beacon-id ranges, one
-  /// per shard, that merge independently: duplicate DNS url_ids resolve
+  /// DNS rows sort by (url_id, log position) and HTTP rows by (beacon
+  /// id, log position) — day-loop logs arrive presorted and skip the
+  /// sort — then one serial merge appends each joined measurement to its
+  /// day's columns in ascending beacon id: duplicate DNS url_ids resolve
   /// to the last log row, targets keep HTTP log order within a beacon,
-  /// and rows lacking a counterpart drop, exactly like the hash join
-  /// this replaced. Because shards are contiguous ranges of one global
-  /// order, concatenating their outputs in shard order *is* the
-  /// ascending-beacon-id sequence — no k-way merge — so the stored
-  /// sequence is identical for any thread and shard count. The shard
-  /// count derives from the input size (common/cost_model.h), never from
-  /// `threads` alone: small batches take the single-shard presorted fast
-  /// path at any thread count, which is what keeps N-thread joins from
-  /// ever running slower than 1-thread. Scratch buffers persist in an
-  /// arena across calls, so steady-state joins allocate almost nothing.
+  /// the first joined HTTP row sets the measurement's metadata, and rows
+  /// lacking a counterpart drop. Throws Error when a joined measurement's
+  /// day is negative. `threads` has no effect; it stays for source
+  /// compatibility. Scratch buffers persist in an arena across calls, so
+  /// steady-state joins allocate almost nothing.
   void join(std::span<const DnsLogEntry> dns_log,
             std::span<const HttpLogEntry> http_log, int threads = 1);
 
@@ -65,16 +60,6 @@ class MeasurementStore {
   }
 
  private:
-  /// Single-shard fast path: when every HTTP row lands on one valid day
-  /// and both logs are already sorted (checked with the SIMD neighbor-
-  /// compare kernel), the merge writes joined rows straight into that
-  /// day's columns — no shard staging copy. Returns false (having stored
-  /// nothing) when the preconditions do not hold, and the caller falls
-  /// back to the sharded sort-merge path. Callers must ensure no fail
-  /// points are armed; this path never evaluates the store fail point.
-  bool join_presorted_day(std::span<const DnsLogEntry> dns_log,
-                          std::span<const HttpLogEntry> http_log);
-
   std::vector<MeasurementColumns> by_day_;
   ScratchArena scratch_;
 };

@@ -37,12 +37,14 @@ class CsvWriter {
   /// Flushes buffered rows and throws acdn::Error if any write failed.
   void flush();
 
+  /// Shortest text that parses back to exactly `v`.
+  static std::string format_double(double v);
+
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
   void write_field(std::string_view field, bool first);
   void check_stream() const;
-  static std::string format_double(double v);
 
   std::string path_;
   std::ofstream out_;

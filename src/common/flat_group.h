@@ -4,71 +4,24 @@
 // std::map / std::unordered_map buckets; at paper scale the allocator —
 // not the hardware — set the throughput ceiling. These primitives replace
 // that pattern with the classic sort-based plan: append rows to a flat
-// vector, parallel_sort by a total-order key, then walk maximal runs of
-// equal keys. Every step is deterministic by construction (the sort's
-// chunk decomposition and merge tree depend only on the input size, and
-// the comparator is a strict total order), so results are bit-identical
-// for any thread count — the same contract common/executor.h pins.
+// vector, sort it by a total-order key (common/radix.h for packed uint64
+// keys), then walk maximal runs of equal keys. Every step is a pure
+// function of the input, so results are bit-identical for any thread
+// count.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
-#include "common/cost_model.h"
 #include "common/error.h"
-#include "common/executor.h"
 #include "common/simd.h"
 
 namespace acdn {
-
-/// Per-chunk element floor for parallel_sort: ranges at or below this
-/// size sort serially; larger ranges fan out on the executor pool.
-inline constexpr std::size_t kSortGrain = 1 << 15;
-
-/// Deterministic parallel sort. The range splits into the executor's
-/// (n, grain) chunk plan — a function of the input size only — each chunk
-/// sorts independently, and adjacent sorted spans merge pairwise in a
-/// fixed binary tree. With a strict *total* order (break all ties in the
-/// comparator, e.g. with a sequence number) the result is identical for
-/// any `threads`, including 1.
-template <typename T, typename Less = std::less<T>>
-void parallel_sort(std::span<T> v, int threads, Less less = {}) {
-  const Executor::ChunkPlan plan = Executor::plan_chunks(v.size(), kSortGrain);
-  // Serial below the cost-model crossover: the merge tree re-touches
-  // every element per level, so a sub-crossover fan-out does strictly
-  // more work than one std::sort (common/cost_model.h).
-  if (plan.chunks <= 1 ||
-      plan_parallelism(v.size(), kSortParallelMinRows, threads) <= 1) {
-    std::sort(v.begin(), v.end(), less);
-    return;
-  }
-  const auto bound = [&](std::size_t chunk) {
-    return std::min(v.size(), chunk * plan.chunk_size);
-  };
-  Executor::global().parallel_for(0, plan.chunks, threads, [&](std::size_t c) {
-    std::sort(v.begin() + static_cast<std::ptrdiff_t>(bound(c)),
-              v.begin() + static_cast<std::ptrdiff_t>(bound(c + 1)), less);
-  });
-  for (std::size_t width = 1; width < plan.chunks; width *= 2) {
-    const std::size_t stride = 2 * width;
-    const std::size_t pairs = (plan.chunks + stride - 1) / stride;
-    Executor::global().parallel_for(0, pairs, threads, [&](std::size_t p) {
-      const std::size_t lo = bound(p * stride);
-      const std::size_t mid = bound(std::min(plan.chunks, p * stride + width));
-      const std::size_t hi = bound(std::min(plan.chunks, p * stride + stride));
-      if (mid >= hi) return;  // odd tail: already sorted
-      std::inplace_merge(v.begin() + static_cast<std::ptrdiff_t>(lo),
-                         v.begin() + static_cast<std::ptrdiff_t>(mid),
-                         v.begin() + static_cast<std::ptrdiff_t>(hi), less);
-    });
-  }
-}
 
 /// Half-open index range [begin, end) of one key's run in a sorted span.
 struct Run {
@@ -107,16 +60,6 @@ void for_each_run_u64(std::span<const std::uint64_t> keys,
         r + 1 < starts.size() ? starts[r + 1] : keys.size();
     fn(Run{begin, end});
   }
-}
-
-/// The full sort-based group-by: parallel_sort by `less`, then visit each
-/// maximal `eq`-run in ascending key order. `less` must be a total order
-/// for the deterministic-sort contract to hold.
-template <typename T, typename Less, typename Eq, typename Fn>
-void sort_group_by(std::span<T> v, int threads, Less less, Eq eq, Fn&& fn) {
-  parallel_sort(v, threads, less);
-  for_each_run(std::span<const T>(v.data(), v.size()), eq,
-               std::forward<Fn>(fn));
 }
 
 /// Sorted-vector replacement for read-mostly std::map uses: contiguous

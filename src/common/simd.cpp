@@ -14,7 +14,6 @@
 //   run_starts_u64       sse2, avx2, neon
 //   pack_group_target    sse2, avx2, neon
 //   base_rtt_batch       sse2, avx2        (fp on neon: see header)
-//   diurnal_batch        avx2
 //   haversine_batch      avx2
 //   haversine_pairs      avx2
 
@@ -45,7 +44,6 @@ namespace acdn::simd {
 namespace {
 
 constexpr double kPi = std::numbers::pi;
-constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
 // ---------------------------------------------------------------------
 // Capability detection and dispatch resolution.
@@ -187,15 +185,6 @@ void base_rtt_scalar(std::span<const double> km,
     out[i] = km[i] / km_per_rtt_ms +
              per_as_hop_ms * static_cast<double>(as_hops[i]) +
              last_mile_ms[i];
-  }
-}
-
-void diurnal_scalar(std::span<const double> hour, double peak_hour,
-                    double amplitude, std::span<double> out,
-                    std::size_t begin) {
-  for (std::size_t i = begin; i < hour.size(); ++i) {
-    const double phase = kTwoPi * (hour[i] - peak_hour) / 24.0;
-    out[i] = 1.0 + amplitude * std::cos(phase);
   }
 }
 
@@ -430,31 +419,6 @@ __attribute__((target("avx2"))) void base_rtt_avx2(
   }
   base_rtt_scalar(km, as_hops, last_mile_ms, km_per_rtt_ms, per_as_hop_ms, out,
                   i);
-}
-
-__attribute__((target("avx2"))) void diurnal_avx2(std::span<const double> hour,
-                                                  double peak_hour,
-                                                  double amplitude,
-                                                  std::span<double> out) {
-  const std::size_t n = hour.size();
-  const __m256d v2pi = _mm256_set1_pd(kTwoPi);
-  const __m256d v24 = _mm256_set1_pd(24.0);
-  const __m256d v1 = _mm256_set1_pd(1.0);
-  const __m256d vpeak = _mm256_set1_pd(peak_hour);
-  const __m256d vamp = _mm256_set1_pd(amplitude);
-  alignas(32) double lanes[4];
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d vh = _mm256_loadu_pd(hour.data() + i);
-    const __m256d vphase =
-        _mm256_div_pd(_mm256_mul_pd(v2pi, _mm256_sub_pd(vh, vpeak)), v24);
-    _mm256_store_pd(lanes, vphase);
-    for (double& lane : lanes) lane = std::cos(lane);
-    const __m256d vcos = _mm256_load_pd(lanes);
-    _mm256_storeu_pd(out.data() + i,
-                     _mm256_add_pd(v1, _mm256_mul_pd(vamp, vcos)));
-  }
-  diurnal_scalar(hour, peak_hour, amplitude, out, i);
 }
 
 /// Shared AVX2 haversine body: origin lanes either broadcast (fixed
@@ -736,28 +700,6 @@ void base_rtt_batch(std::span<const double> km,
                     double per_as_hop_ms, std::span<double> out) {
   base_rtt_batch_at(active(), km, as_hops, last_mile_ms, km_per_rtt_ms,
                     per_as_hop_ms, out);
-}
-
-void diurnal_batch_at(Dispatch d, std::span<const double> hour,
-                      double peak_hour, double amplitude,
-                      std::span<double> out) {
-  check_dispatch(d);
-  ACDN_CHECK_EQ(hour.size(), out.size());
-  switch (d) {
-#if defined(ACDN_SIMD_X86)
-    case Dispatch::kAvx2:
-      diurnal_avx2(hour, peak_hour, amplitude, out);
-      return;
-#endif
-    default:
-      diurnal_scalar(hour, peak_hour, amplitude, out, 0);
-      return;
-  }
-}
-
-void diurnal_batch(std::span<const double> hour, double peak_hour,
-                   double amplitude, std::span<double> out) {
-  diurnal_batch_at(active(), hour, peak_hour, amplitude, out);
 }
 
 void haversine_batch_at(Dispatch d, double lat0_deg, double lon0_deg,

@@ -83,11 +83,6 @@ void base_rtt_batch(std::span<const double> km,
                     std::span<const double> last_mile_ms, double km_per_rtt_ms,
                     double per_as_hop_ms, std::span<double> out);
 
-/// Batch of RttModel::diurnal_factor: out[i] = 1 + amplitude *
-/// cos(2*pi*(hour[i] - peak_hour)/24). The cosine runs scalar per lane.
-void diurnal_batch(std::span<const double> hour, double peak_hour,
-                   double amplitude, std::span<double> out);
-
 /// Batch haversine, one fixed origin: out_km[i] = the exact operation
 /// sequence of geo/geo_point.h's haversine_km({lat0,lon0},
 /// {lat[i],lon[i]}). `two_radius_km` is 2*R (exact: doubling never
@@ -123,9 +118,6 @@ void base_rtt_batch_at(Dispatch d, std::span<const double> km,
                        std::span<const double> last_mile_ms,
                        double km_per_rtt_ms, double per_as_hop_ms,
                        std::span<double> out);
-void diurnal_batch_at(Dispatch d, std::span<const double> hour,
-                      double peak_hour, double amplitude,
-                      std::span<double> out);
 void haversine_batch_at(Dispatch d, double lat0_deg, double lon0_deg,
                         std::span<const double> lat_deg,
                         std::span<const double> lon_deg, double two_radius_km,

@@ -18,8 +18,7 @@ std::vector<EvalOutcome> PredictionEvaluator::evaluate(
   // grouped: clients inherit their LDNS group's prediction under LDNS
   // grouping.
   return evaluate_groups(
-      predictor, DayAggregates::build(eval_day, Grouping::kEcsPrefix,
-                                      config_.threads));
+      predictor, DayAggregates::build(eval_day, Grouping::kEcsPrefix));
 }
 
 std::vector<EvalOutcome> PredictionEvaluator::evaluate(
@@ -28,9 +27,8 @@ std::vector<EvalOutcome> PredictionEvaluator::evaluate(
   const PhaseSpan eval_phase("evaluator.evaluate");
   const ScopedTimer eval_timer("evaluator.evaluate_ms");
   return evaluate_groups(
-      predictor, DayAggregates::build(eval_day_measurements,
-                                      Grouping::kEcsPrefix,
-                                      config_.threads));
+      predictor,
+      DayAggregates::build(eval_day_measurements, Grouping::kEcsPrefix));
 }
 
 std::vector<EvalOutcome> PredictionEvaluator::evaluate_groups(

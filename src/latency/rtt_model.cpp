@@ -39,12 +39,6 @@ void RttModel::base_rtt_batch(std::span<const Kilometers> one_way_path_km,
                        config_.km_per_rtt_ms, config_.per_as_hop_ms, out);
 }
 
-void RttModel::diurnal_factor_batch(std::span<const double> hour_of_day,
-                                    std::span<double> out) const {
-  simd::diurnal_batch(hour_of_day, config_.peak_hour,
-                      config_.diurnal_amplitude, out);
-}
-
 Milliseconds RttModel::sample(Milliseconds base, const SimTime& t,
                               Rng& rng) const {
   return sample_at(base, diurnal_factor(t), rng);

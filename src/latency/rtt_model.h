@@ -81,15 +81,6 @@ class RttModel {
   [[nodiscard]] Milliseconds sample_at(Milliseconds base, double diurnal,
                                        Rng& rng) const;
 
-  /// Elementwise diurnal_factor over an hour-of-day column (SimTime::
-  /// hour_of_day values), bit-identical per lane to the scalar path. The
-  /// simulation's day loop cannot use this — beacon times are drawn
-  /// interleaved with the beacon run's other draws, so batching would
-  /// reorder the rng stream — but offline consumers replaying recorded
-  /// timestamps can.
-  void diurnal_factor_batch(std::span<const double> hour_of_day,
-                            std::span<double> out) const;
-
   /// Draws a client /24's fixed last-mile RTT contribution from `mix`.
   [[nodiscard]] static Milliseconds draw_last_mile(const LastMileMix& mix,
                                                    Rng& rng);

@@ -95,17 +95,14 @@ void export_measurements(const MeasurementStore& store,
     for (std::size_t i = 0; i < cols.size(); ++i) {
       for (std::size_t t = cols.row_targets_begin(i);
            t < cols.row_targets_end(i); ++t) {
-        const bool anycast = cols.target_anycast[t] != 0;
-        const double row[] = {
-            double(cols.beacon_id[i]),
-            double(cols.day[i]),
-            cols.hour[i],
-            double(cols.client[i].value),
-            double(cols.ldns[i].value),
-            anycast ? 1.0 : 0.0,
-            anycast ? 0.0 : double(cols.target_front_end[t]),
-            cols.target_rtt[t]};
-        csv.write_row(row);
+        csv.write_row({std::to_string(cols.beacon_id[i]),
+                       std::to_string(cols.day[i]),
+                       CsvWriter::format_double(cols.hour[i]),
+                       std::to_string(cols.client[i].value),
+                       std::to_string(cols.ldns[i].value),
+                       cols.target_anycast[t] != 0 ? "1" : "0",
+                       std::to_string(cols.target_front_end[t]),
+                       CsvWriter::format_double(cols.target_rtt[t])});
       }
     }
   }
@@ -141,10 +138,8 @@ MeasurementStore import_measurements(const std::string& path) {
     }
     BeaconMeasurement::Target target;
     target.anycast = parse_u64(fields[5]) != 0;
-    target.front_end = target.anycast
-                           ? FrontEndId{}
-                           : FrontEndId(static_cast<std::uint32_t>(
-                                 parse_u64(fields[6])));
+    target.front_end =
+        FrontEndId(static_cast<std::uint32_t>(parse_u64(fields[6])));
     target.rtt_ms = parse_double(fields[7]);
     it->second.targets.push_back(target);
   }

@@ -27,6 +27,25 @@ std::vector<double> union_xs(const std::vector<Series>& series) {
   return {xs.begin(), xs.end()};
 }
 
+/// Calls row(x, ys) for every x of the ascending union, where ys[s] is
+/// sample_series(series[s], x). The index of the first point past x never
+/// decreases as x ascends, so one forward cursor per series replaces
+/// sample_series' rescan from the first point.
+template <typename Fn>
+void for_each_row(const std::vector<Series>& series, Fn&& row) {
+  std::vector<std::size_t> cursor(series.size(), 0);
+  std::vector<double> ys(series.size());
+  for (const double x : union_xs(series)) {
+    for (std::size_t s = 0; s < series.size(); ++s) {
+      const std::vector<DistPoint>& points = series[s].points;
+      std::size_t& c = cursor[s];
+      while (c < points.size() && !(points[c].x > x)) ++c;
+      ys[s] = c == 0 ? 0.0 : points[c - 1].y;
+    }
+    row(x, ys);
+  }
+}
+
 }  // namespace
 
 void Figure::print_table() const {
@@ -34,13 +53,11 @@ void Figure::print_table() const {
   std::printf("%-12s", x_label_.c_str());
   for (const Series& s : series_) std::printf("  %16s", s.name.c_str());
   std::printf("\n");
-  for (double x : union_xs(series_)) {
+  for_each_row(series_, [](double x, const std::vector<double>& ys) {
     std::printf("%-12.4g", x);
-    for (const Series& s : series_) {
-      std::printf("  %16.4f", sample_series(s, x));
-    }
+    for (const double y : ys) std::printf("  %16.4f", y);
     std::printf("\n");
-  }
+  });
 }
 
 void Figure::write_csv(const std::string& path) const {
@@ -48,11 +65,12 @@ void Figure::write_csv(const std::string& path) const {
   std::vector<std::string> header{x_label_};
   for (const Series& s : series_) header.push_back(s.name);
   csv.write_row(header);
-  for (double x : union_xs(series_)) {
-    std::vector<double> row{x};
-    for (const Series& s : series_) row.push_back(sample_series(s, x));
+  std::vector<double> row;
+  for_each_row(series_, [&](double x, const std::vector<double>& ys) {
+    row.assign(1, x);
+    row.insert(row.end(), ys.begin(), ys.end());
     csv.write_row(row);
-  }
+  });
   csv.flush();
 }
 

@@ -96,7 +96,7 @@ void ScenarioPipeline::analyze(DaySlot& slot) {
   // Root span: this scope runs inline (window 0) or on a pool worker whose
   // phase path is whatever the last batch left there — pin it either way.
   const PhaseSpan span("pipeline.analysis", PhaseSpan::kRoot);
-  slot.store.join(slot.dns_log, slot.http_log, options_.threads);
+  slot.store.join(slot.dns_log, slot.http_log);
   // Columnar figure-5 scoring, byte-identical to fig5_daily_prevalence's
   // per-day body (same overload, slot arena in place of its loop arena).
   slot.improvements = daily_improvement(slot.store.columns(slot.day),

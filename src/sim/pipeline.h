@@ -17,8 +17,8 @@
 // thread count, because each ingredient is order-pinned:
 //   * the kernel runs serially in day order on the driver thread — the
 //     RNG and route streams see the exact serial schedule;
-//   * each day joins into a slot-local MeasurementStore (the join itself
-//     is thread-count-invariant), and the finished columns move into the
+//   * each day joins into a slot-local MeasurementStore (the join is one
+//     serial merge), and the finished columns move into the
 //     scenario store during the in-order fold (take_day/put_day), so the
 //     store's day layout never depends on completion order;
 //   * order-sensitive folds (figure-5 prevalence, StreamingTrainer
@@ -52,8 +52,9 @@ struct PipelineOptions {
   /// analysis inline on the driver thread — the serial reference, through
   /// the same code path; W >= 1 overlaps up to W days.
   int window = 2;
-  /// Parallelism for the per-day analysis passes (join, aggregate build,
-  /// figure scoring). The kernel keeps World's simulation_threads.
+  /// Parallelism for the per-day figure scoring (the join and the
+  /// aggregate build are serial). The kernel keeps World's
+  /// simulation_threads.
   int threads = 1;
   /// Per-day figure-5 prevalence fold (same math as
   /// fig5_daily_prevalence, one day at a time).

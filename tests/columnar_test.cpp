@@ -8,6 +8,7 @@
 #include "beacon/columns.h"
 #include "beacon/store.h"
 #include "common/arena.h"
+#include "common/error.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/rng.h"
@@ -95,15 +96,18 @@ TEST(MeasurementColumns, ClearRetainsCapacity) {
   EXPECT_EQ(cols.target_rtt.capacity(), target_cap);
 }
 
-TEST(MeasurementColumns, AppendFromCopiesOneRow) {
+TEST(MeasurementColumns, AppendAllRebasesTargetOffsets) {
   MeasurementColumns src;
   src.push_back(sample_measurement(3, 2));
   src.push_back(sample_measurement(5, 4));
 
   MeasurementColumns dst;
-  dst.append_from(src, 1);
-  ASSERT_EQ(dst.size(), 1u);
-  expect_measurement_eq(dst.row(0), src.row(1));
+  dst.push_back(sample_measurement(1, 3));
+  dst.append_all(src);
+  ASSERT_EQ(dst.size(), 3u);
+  EXPECT_EQ(dst.target_count(), 9u);
+  expect_measurement_eq(dst.row(1), src.row(0));
+  expect_measurement_eq(dst.row(2), src.row(1));
 }
 
 // ------------------------------------------------------------ ScratchArena
@@ -259,6 +263,35 @@ TEST(SortMergeJoin, EmptyLogsProduceNoDays) {
   store.join({}, {}, 4);
   EXPECT_EQ(store.days(), 0);
   EXPECT_EQ(store.total(), 0u);
+}
+
+TEST(SortMergeJoin, NegativeDayThrows) {
+  // MeasurementStore::add rejects a negative day; the join must too,
+  // with or without armed faults, instead of counting rows it never
+  // stored.
+  Logs logs;
+  for (std::uint64_t url : {4u, 5u}) {
+    logs.dns.push_back({url, LdnsId(1), -1});
+    HttpLogEntry h;
+    h.url_id = url;
+    h.client = ClientId(2);
+    h.rtt_ms = 10.0;
+    h.day = -1;
+    logs.http.push_back(h);
+  }
+  MeasurementStore store;
+  EXPECT_THROW(store.join(logs.dns, logs.http), Error);
+  EXPECT_EQ(store.total(), 0u);
+
+  FaultSchedule schedule;
+  schedule.seed = 7;
+  schedule.rules = {{"beacon/store", FaultKind::kDelay, 1.0, 0,
+                     kFaultWindowOpen, 5.0}};
+  FailPointRegistry::global().arm(schedule);
+  MeasurementStore armed;
+  EXPECT_THROW(armed.join(logs.dns, logs.http), Error);
+  FailPointRegistry::global().disarm();
+  EXPECT_EQ(armed.total(), 0u);
 }
 
 // ----------------------------------------- fault-drop conservation property

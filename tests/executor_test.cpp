@@ -15,7 +15,6 @@
 
 #include "common/executor.h"
 #include "common/metrics.h"
-#include "common/parallel.h"
 #include "core/predictor.h"
 #include "report/export.h"
 #include "sim/simulation.h"
@@ -124,18 +123,6 @@ TEST(Executor, ExceptionMessagePreserved) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "executor-test-message");
   }
-}
-
-// Regression: the legacy free-function parallel_for used to run bodies on
-// detached per-call std::threads, where a throw went straight to
-// std::terminate. The shim now routes through the executor and rethrows
-// to the caller.
-TEST(ParallelForShim, ExceptionReachesCallerInsteadOfTerminating) {
-  EXPECT_THROW(parallel_for(0, 1000, 8,
-                            [](std::size_t i) {
-                              if (i == 999) throw std::logic_error("shim");
-                            }),
-               std::logic_error);
 }
 
 // ---------------------------------------------------------- work stealing

@@ -59,6 +59,12 @@ TEST(Export, MeasurementsRoundTrip) {
   store.add(testfx::make_measurement(1, 10, 0, 25.5,
                                      {{0, 40.0}, {2, 18.25}}));
   store.add(testfx::make_measurement(2, 11, 1, 12.0, {{1, 30.0}}));
+  // An anycast fetch served by a real front-end, under a beacon id whose
+  // trailing decimal zeros once exported in exponent notation.
+  BeaconMeasurement big = testfx::make_measurement(3, 12, 1, 9.5, {{4, 7.0}});
+  big.beacon_id = 70369280000000;
+  big.targets[0].front_end = FrontEndId(5);
+  store.add(big);
 
   const std::string path = temp_path("acdn_measurements.csv");
   export_measurements(store, path);
@@ -74,6 +80,8 @@ TEST(Export, MeasurementsRoundTrip) {
       EXPECT_EQ(copy[i].beacon_id, original[i].beacon_id);
       EXPECT_EQ(copy[i].client, original[i].client);
       EXPECT_EQ(copy[i].ldns, original[i].ldns);
+      EXPECT_EQ(copy[i].day, original[i].day);
+      EXPECT_EQ(copy[i].anycast_front_end(), original[i].anycast_front_end());
       ASSERT_EQ(copy[i].targets.size(), original[i].targets.size());
       for (std::size_t t = 0; t < copy[i].targets.size(); ++t) {
         EXPECT_EQ(copy[i].targets[t].anycast, original[i].targets[t].anycast);

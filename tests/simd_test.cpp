@@ -146,22 +146,6 @@ TEST(SimdSweep, BaseRttBatch) {
   }
 }
 
-TEST(SimdSweep, DiurnalBatch) {
-  Rng rng(15);
-  for (const std::size_t n : kLengths) {
-    std::vector<double> hour(n);
-    for (auto& h : hour) h = rng.uniform(0.0, 24.0);
-    std::vector<double> want(n);
-    simd::diurnal_batch_at(Dispatch::kScalar, hour, 20.0, 0.06,
-                           std::span<double>(want));
-    for (Dispatch d : simd::available()) {
-      std::vector<double> got(n);
-      simd::diurnal_batch_at(d, hour, 20.0, 0.06, std::span<double>(got));
-      expect_bits_eq(got, want, "diurnal", d);
-    }
-  }
-}
-
 constexpr double kTwoEarthRadiusKm = 2.0 * 6371.0088;
 
 TEST(SimdSweep, HaversineBatch) {
@@ -263,28 +247,6 @@ TEST(SimdReference, BaseRttMatchesRttModel) {
   for (std::size_t i = 0; i < n; ++i) {
     const Milliseconds direct =
         model.base_rtt(km[i], hops[i], last_mile[i]);
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(batch[i]),
-              std::bit_cast<std::uint64_t>(direct));
-  }
-}
-
-TEST(SimdReference, DiurnalMatchesRttModel) {
-  Rng rng(20);
-  RttConfig config;
-  const RttModel model(config);
-  const std::size_t n = 100;
-  std::vector<double> hour(n);
-  std::vector<double> seconds(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    seconds[i] = rng.uniform(0.0, 86'400.0);
-    hour[i] = seconds[i] / 3600.0;  // exactly SimTime::hour_of_day()
-  }
-  std::vector<double> batch(n);
-  simd::diurnal_batch(hour, config.peak_hour, config.diurnal_amplitude,
-                      std::span<double>(batch));
-  for (std::size_t i = 0; i < n; ++i) {
-    const double direct =
-        model.diurnal_factor(SimTime{0, seconds[i]});
     ASSERT_EQ(std::bit_cast<std::uint64_t>(batch[i]),
               std::bit_cast<std::uint64_t>(direct));
   }
